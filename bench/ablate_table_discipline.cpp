@@ -1,18 +1,16 @@
-// Ablation: the three unique-table locking disciplines head to head.
+// Ablation: the two unique-table locking disciplines head to head.
 //
 // Figs. 16/17 of the paper expose the reduction phase serializing on the
 // per-variable locks; Section 6 asks for "a better distributed hashing
-// algorithm". ablate_table_sharding measures the mutex-striped half-step;
-// this harness adds the end point — the lock-free CAS table — and reports
-// the quantity the disciplines actually compete on: reduction throughput
-// (operations retired per second of reduction-phase time, summed over
-// workers).
+// algorithm". This harness sets the paper's discipline against that end
+// point — the lock-free CAS table — and reports the quantity the
+// disciplines actually compete on: reduction throughput (operations
+// retired per second of reduction-phase time, summed over workers).
 //
 //   passlock  — one mutex per variable, held across a reduction pass
-//   sharded   — 16 mutex-striped segments per variable
 //   lockfree  — atomic bucket heads, CAS publication, no mutex at all
 //
-// Contention shows up as `lock wait (s)` for the mutex disciplines and as
+// Contention shows up as `lock wait (s)` for the mutex discipline and as
 // `cas retries` for the lock-free one. On a single hardware core the wall
 // clock cannot show the parallel win (threads time-slice); the wait/retry
 // columns still separate the disciplines, and on real cores the removed
@@ -32,16 +30,8 @@ int main(int argc, char** argv) {
   }
   const bench::Workload w = bench::make_workload(cli.circuit_specs[0]);
 
-  struct Row {
-    const char* name;
-    core::TableDiscipline discipline;
-    unsigned shards;
-  };
-  const Row rows[] = {
-      {"passlock", core::TableDiscipline::kPassLock, 1},
-      {"sharded16", core::TableDiscipline::kSharded, 16},
-      {"lockfree", core::TableDiscipline::kLockFree, 1},
-  };
+  const core::TableDiscipline disciplines[] = {
+      core::TableDiscipline::kPassLock, core::TableDiscipline::kLockFree};
 
   std::printf("Unique-table locking-discipline ablation on %s\n",
               w.name.c_str());
@@ -49,10 +39,10 @@ int main(int argc, char** argv) {
                          "lock wait s", "cas retries", "red. Mops/s"});
   double passlock_mops = 0;  // per worker count, for the relative column
   for (const unsigned workers : cli.thread_counts) {
-    for (const Row& row : rows) {
+    for (const core::TableDiscipline discipline : disciplines) {
+      const char* name = core::discipline_name(discipline);
       core::Config config = bench::config_for(cli, workers, false);
-      config.table_discipline = row.discipline;
-      config.table_shards = row.shards;
+      config.table_discipline = discipline;
       const bench::RunResult r = bench::run_build(w, config);
       const double wait = util::ns_to_s(r.stats.total.lock_wait_ns);
       double reduction = 0;
@@ -66,10 +56,10 @@ int main(int argc, char** argv) {
           reduction > 0
               ? static_cast<double>(r.total_ops) / reduction * 1e-6
               : 0;
-      if (row.discipline == core::TableDiscipline::kPassLock) {
+      if (discipline == core::TableDiscipline::kPassLock) {
         passlock_mops = mops;
       }
-      table.add_row({std::to_string(workers), row.name,
+      table.add_row({std::to_string(workers), name,
                      util::TextTable::num(r.elapsed_s, 3),
                      util::TextTable::num(reduction, 3),
                      util::TextTable::num(wait, 3),
@@ -83,7 +73,7 @@ int main(int argc, char** argv) {
                               : "")});
       if (cli.csv) {
         std::printf("csv,ablate_discipline,%s,%u,%s,%.4f,%.4f,%.4f,%llu\n",
-                    w.name.c_str(), workers, row.name, r.elapsed_s,
+                    w.name.c_str(), workers, name, r.elapsed_s,
                     reduction, wait,
                     static_cast<unsigned long long>(
                         r.stats.total.cas_retries));
@@ -94,8 +84,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf(
       "\npasslock is the paper's discipline (Figs. 16/17 contention);\n"
-      "sharded16 is the Section 6 striped half-step; lockfree removes the\n"
-      "mutex entirely. The Mops/s column is reduction-phase throughput with\n"
-      "the per-worker-count passlock baseline in parentheses.\n");
+      "lockfree removes the mutex entirely. The Mops/s column is\n"
+      "reduction-phase throughput with the per-worker-count passlock\n"
+      "baseline in parentheses.\n");
   return 0;
 }

@@ -33,7 +33,7 @@ std::vector<std::string> split(const std::string& s, char sep) {
                "error: %s\n"
                "flags: --circuits a,b,c  --threads 1,2,4,8  --no-seq\n"
                "       --threshold N  --group N  --cache-log2 N  --gc-min N\n"
-               "       --discipline passlock|sharded|lockfree  --csv\n"
+               "       --discipline passlock|lockfree  --csv\n"
                "       --json PATH  --warmup N  --repeat N\n"
                "circuit specs: c2670s c2670b c3540s c17 mult-N alu-N cmp-N "
                "add-N par-N rand-N or a .bench file path\n",
@@ -75,13 +75,7 @@ Cli parse_cli(int argc, char** argv,
       cli.gc_min_nodes = std::strtoull(next().c_str(), nullptr, 10);
     } else if (arg == "--discipline") {
       const std::string d = next();
-      if (d == "passlock") {
-        cli.discipline = core::TableDiscipline::kPassLock;
-      } else if (d == "sharded") {
-        cli.discipline = core::TableDiscipline::kSharded;
-      } else if (d == "lockfree") {
-        cli.discipline = core::TableDiscipline::kLockFree;
-      } else {
+      if (!core::parse_discipline(d, cli.discipline)) {
         usage_error("unknown discipline " + d);
       }
     } else if (arg == "--warmup") {

@@ -49,7 +49,7 @@ struct Cli {
 ///   --threshold N      evaluation threshold
 ///   --group N          steal-group size
 ///   --cache-log2 N     per-worker compute-cache size
-///   --discipline D     unique-table locking: passlock, sharded, lockfree
+///   --discipline D     unique-table locking: passlock, lockfree
 ///   --csv              machine-readable output in addition to tables
 ///   --json PATH        dump results as JSON (fig07_08_elapsed)
 ///   --warmup N         discarded runs per point before measuring

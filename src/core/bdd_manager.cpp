@@ -26,30 +26,8 @@ Config normalized(Config config) {
     // takes the (uncontended) lock, and the atomics of the lock-free path
     // would be pure overhead with one thread.
     config.table_discipline = TableDiscipline::kPassLock;
-    config.table_shards = 1;
   }
   if (config.group_size == 0) config.group_size = 1;
-  if (config.table_shards == 0) config.table_shards = 1;
-  // Round shards down to a power of two.
-  while (config.table_shards & (config.table_shards - 1)) {
-    config.table_shards &= config.table_shards - 1;
-  }
-  // Reconcile discipline and shard count: the lock-free table has a single
-  // bucket array (no segments), a shard count above one implies kSharded,
-  // and kSharded with one shard falls back to its default striping.
-  switch (config.table_discipline) {
-    case TableDiscipline::kLockFree:
-      config.table_shards = 1;
-      break;
-    case TableDiscipline::kSharded:
-      if (config.table_shards == 1) config.table_shards = 4;
-      break;
-    case TableDiscipline::kPassLock:
-      if (config.table_shards > 1) {
-        config.table_discipline = TableDiscipline::kSharded;
-      }
-      break;
-  }
   return config;
 }
 }  // namespace
@@ -89,7 +67,7 @@ BddManager::BddManager(unsigned num_vars, Config config)
     }
     unique_[v].init(v, std::move(arenas),
                     std::size_t{1} << config_.initial_buckets_log2,
-                    config_.table_shards, config_.table_discipline);
+                    config_.table_discipline);
   }
 }
 

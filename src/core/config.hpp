@@ -4,24 +4,49 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pbdd::core {
 
 /// Locking discipline of the per-variable unique tables (see
-/// core/unique_table.hpp for the protocols).
+/// core/unique_table.hpp for the protocols). The values are the tags that
+/// snapshot headers store (docs/FORMAT.md); tag 1 belonged to a retired
+/// mutex-striped discipline and only ever comes back from old files.
 enum class TableDiscipline : std::uint8_t {
   /// The paper's layout: one mutex per variable, acquired once per
   /// (worker, variable) reduction pass.
-  kPassLock,
-  /// Mutex-striped hash segments (Section 6's "distributed hashing");
-  /// the segment count is Config::table_shards.
-  kSharded,
+  kPassLock = 0,
   /// Lock-free: atomic bucket heads, CAS publication with speculative
   /// allocation, epoch-claimed growth. No mutex anywhere on the insert
   /// path.
-  kLockFree,
+  kLockFree = 2,
 };
+
+/// Spelling used by the tools, seed files and PBDD_TABLE_DISCIPLINE. The
+/// legacy tag 1 of an old snapshot header prints as "legacy sharded".
+[[nodiscard]] inline const char* discipline_name(TableDiscipline d) noexcept {
+  switch (d) {
+    case TableDiscipline::kPassLock: return "passlock";
+    case TableDiscipline::kLockFree: return "lockfree";
+  }
+  return "legacy sharded";
+}
+
+/// Inverse of discipline_name(): "passlock" or "lockfree". Any other
+/// spelling — the retired "sharded" included — returns false and leaves
+/// `out` untouched, so callers report it rather than guess a substitute.
+[[nodiscard]] inline bool parse_discipline(std::string_view name,
+                                           TableDiscipline& out) noexcept {
+  for (const TableDiscipline d :
+       {TableDiscipline::kPassLock, TableDiscipline::kLockFree}) {
+    if (name == discipline_name(d)) {
+      out = d;
+      return true;
+    }
+  }
+  return false;
+}
 
 /// What to do when an evaluation context exceeds the threshold.
 enum class OverflowPolicy : std::uint8_t {
@@ -107,18 +132,9 @@ struct Config {
   /// Initial buckets per variable's unique table (power of two).
   unsigned initial_buckets_log2 = 8;
 
-  /// Unique-table locking discipline. kPassLock with table_shards > 1 is
-  /// normalized to kSharded; kSharded with table_shards == 1 gets a default
-  /// shard count; kLockFree ignores table_shards (one atomic bucket array).
-  /// Sequential mode forces kPassLock, whose lock is then elided entirely.
+  /// Unique-table locking discipline. Sequential mode forces kPassLock,
+  /// whose lock is then elided entirely.
   TableDiscipline table_discipline = TableDiscipline::kPassLock;
-
-  /// Lock-striped segments per variable's unique table (power of two).
-  /// 1 = the paper's one-lock-per-variable discipline (reduction acquires
-  /// once per pass). >1 implements the finer-grained distributed hashing
-  /// the paper's Section 6 calls for: inserts lock only their hash-selected
-  /// segment. Forced to 1 in sequential mode and in kLockFree.
-  unsigned table_shards = 1;
 
   /// Automatic GC at a batch barrier when allocated node slots exceed this
   /// multiple of the live count after the previous collection.

@@ -1,20 +1,15 @@
-// Per-variable unique table (paper Section 3.2), with three locking
-// disciplines (the third is the "better distributed hashing" the paper's
-// Section 6 calls for, pushed to its logical end point).
+// Per-variable unique table (paper Section 3.2), with two locking
+// disciplines: the paper's own, and the "better distributed hashing" its
+// Section 6 calls for, pushed to its logical end point.
 //
 // One instance per variable, shared by all workers. Chains run through the
 // nodes' `next` fields and may cross worker arenas.
 //
-//  * kPassLock (shards == 1) — the paper's layout: one lock per variable,
-//    acquired once per (worker, variable) reduction pass; all of that
-//    worker's nodes for the variable are produced under a single
-//    acquisition. Simple and cheap per node, but Figs. 16/17 show it
-//    serializing the reduction on the node-heavy variables.
-//
-//  * kSharded (shards > 1) — the bucket array is split into hash-selected
-//    segments, each with its own lock, and find_or_insert locks only its
-//    segment. Workers producing nodes for the same variable now contend
-//    only on hash collisions between segments.
+//  * kPassLock — the paper's layout: one lock per variable, acquired once
+//    per (worker, variable) reduction pass; all of that worker's nodes for
+//    the variable are produced under a single acquisition. Simple and cheap
+//    per node, but Figs. 16/17 show it serializing the reduction on the
+//    node-heavy variables.
 //
 //  * kLockFree — no mutex anywhere on the insert path. Bucket heads are
 //    std::atomic<NodeRef>; find_or_insert walks the chain, speculatively
@@ -39,7 +34,7 @@
 //    the epoch returns to even. Retired arrays are kept until the next
 //    stop-the-world point, so delayed readers never touch freed memory.
 //
-// Lock-acquire wait time is metered per worker in the mutex disciplines
+// Lock-acquire wait time is metered per worker in the pass-lock discipline
 // (Figs. 16/17); the lock-free discipline meters CAS retries instead. Both
 // meters live in cache-line-padded per-worker slots — the counters are the
 // hottest per-worker writes into shared arrays, and unpadded they false-
@@ -68,51 +63,33 @@ namespace pbdd::core {
 class VarUniqueTable {
  public:
   void init(unsigned var, std::vector<NodeArena*> arenas,
-            std::size_t initial_buckets, unsigned shards = 1,
+            std::size_t initial_buckets,
             TableDiscipline discipline = TableDiscipline::kPassLock) {
     var_ = var;
     arenas_ = std::move(arenas);
     lockfree_ = discipline == TableDiscipline::kLockFree;
     wait_ns_.assign(arenas_.size(), util::PaddedCounter{});
     cas_retries_.assign(arenas_.size(), util::PaddedCounter{});
+    const std::size_t size = std::max<std::size_t>(initial_buckets, 16);
+    assert((size & (size - 1)) == 0);
     if (lockfree_) {
-      const std::size_t size = std::max<std::size_t>(initial_buckets, 16);
-      assert((size & (size - 1)) == 0);
       lf_owner_ = std::make_unique<LfBuckets>(size);
       lf_buckets_.store(lf_owner_.get(), std::memory_order_release);
-      segments_.clear();
-      shard_shift_ = 0;
+      buckets_.clear();
       return;
     }
-    assert(shards >= 1 && (shards & (shards - 1)) == 0);
-    segments_ = std::vector<Segment>(shards);
-    const std::size_t per_segment =
-        std::max<std::size_t>(initial_buckets / shards, 16);
-    for (Segment& segment : segments_) {
-      segment.buckets.assign(per_segment, kZero);
-      segment.mask = per_segment - 1;
-    }
-    shard_shift_ = 0;
-    while ((1u << shard_shift_) < shards) ++shard_shift_;
+    buckets_.assign(size, kZero);
+    mask_ = size - 1;
   }
 
   [[nodiscard]] bool lockfree() const noexcept { return lockfree_; }
-  [[nodiscard]] bool sharded() const noexcept {
-    return segments_.size() > 1;
-  }
   /// True for the paper's discipline: callers bracket a reduction pass with
-  /// acquire()/release(). False for kSharded and kLockFree, whose
-  /// find_or_insert synchronizes internally.
-  [[nodiscard]] bool pass_locked() const noexcept {
-    return !lockfree_ && segments_.size() == 1;
-  }
+  /// acquire()/release(). False for kLockFree, whose find_or_insert
+  /// synchronizes internally.
+  [[nodiscard]] bool pass_locked() const noexcept { return !lockfree_; }
   [[nodiscard]] TableDiscipline discipline() const noexcept {
-    if (lockfree_) return TableDiscipline::kLockFree;
-    return sharded() ? TableDiscipline::kSharded
+    return lockfree_ ? TableDiscipline::kLockFree
                      : TableDiscipline::kPassLock;
-  }
-  [[nodiscard]] unsigned shards() const noexcept {
-    return static_cast<unsigned>(segments_.size());
   }
 
   // ---- Pass-level locking (kPassLock, the paper's discipline) --------------
@@ -120,38 +97,35 @@ class VarUniqueTable {
   /// Acquire the per-variable lock, charging the wait to `worker`.
   void acquire(unsigned worker) {
     assert(pass_locked());
-    lock_timed(segments_[0], worker);
+    PBDD_INJECT(kTableAcquire);
+    if (mutex_.try_lock()) return;
+    util::WallTimer timer;
+    mutex_.lock();
+    const std::uint64_t waited = timer.elapsed_ns();
+    wait_ns_[worker].value += waited;
+    PBDD_TRACE_INSTANT(kLockWait, waited, var_);
   }
 
   /// Non-blocking acquire, used by the GC rehash phase: a worker finding a
   /// variable's table locked rehashes other variables first (Section 3.4).
   [[nodiscard]] bool try_acquire() {
     assert(pass_locked());
-    return segments_[0].mutex.try_lock();
+    return mutex_.try_lock();
   }
 
   void release() {
     assert(pass_locked());
-    segments_[0].mutex.unlock();
+    mutex_.unlock();
   }
 
   /// Find-or-create the node (var_, low, high), allocating in `worker`'s
   /// arena on a miss. Pass-level mode: caller holds the variable lock.
-  /// Sharded mode: locks the owning segment internally. Lock-free mode:
-  /// CAS publication, never blocks.
+  /// Lock-free mode: CAS publication, never blocks.
   NodeRef find_or_insert(unsigned worker, NodeRef low, NodeRef high,
                          bool& created) {
     const std::uint64_t h = util::hash_pair(low, high);
     if (lockfree_) return lf_find_or_insert(worker, h, low, high, created);
-    Segment& segment = segment_for(h);
-    if (sharded()) {
-      lock_timed(segment, worker);
-      const NodeRef r = find_or_insert_in(segment, h, worker, low, high,
-                                          created);
-      segment.mutex.unlock();
-      return r;
-    }
-    return find_or_insert_in(segment, h, worker, low, high, created);
+    return locked_find_or_insert(h, worker, low, high, created);
   }
 
   // ---- GC rehash support ----------------------------------------------------
@@ -166,44 +140,31 @@ class VarUniqueTable {
       lf_max_count_ = std::max(
           lf_max_count_, lf_count_.load(std::memory_order_relaxed));
       lf_count_.store(0, std::memory_order_relaxed);
-      std::size_t size = lf_owner_->mask + 1;
-      const std::size_t hint = std::max<std::size_t>(live_hint, 1);
-      while (size > 256 && size > hint * 4) size /= 2;
-      while (size < hint) size *= 2;
+      const std::size_t size = rehash_size(lf_owner_->mask + 1, live_hint);
       lf_retired_.clear();
       lf_owner_ = std::make_unique<LfBuckets>(size);
       lf_buckets_.store(lf_owner_.get(), std::memory_order_release);
       return;
     }
-    const std::size_t hint_per_segment =
-        std::max<std::size_t>(live_hint / segments_.size(), 1);
-    for (Segment& segment : segments_) {
-      std::size_t size = segment.buckets.size();
-      while (size > 256 && size > hint_per_segment * 4) size /= 2;
-      while (size < hint_per_segment) size *= 2;
-      segment.buckets.assign(size, kZero);
-      segment.mask = size - 1;
-      segment.count = 0;
-    }
+    const std::size_t size = rehash_size(buckets_.size(), live_hint);
+    buckets_.assign(size, kZero);
+    mask_ = size - 1;
+    count_ = 0;
   }
 
   /// Insert a node whose fields are already final. Pass-level mode: caller
-  /// holds the lock. Sharded mode: locks the segment internally. Lock-free
-  /// mode: CAS-push (several workers reinsert into one table concurrently
-  /// during the GC rehash phase).
+  /// holds the lock. Lock-free mode: CAS-push (several workers reinsert
+  /// into one table concurrently during the GC rehash phase).
   void reinsert(unsigned worker, NodeRef r, NodeRef low, NodeRef high) {
     const std::uint64_t h = util::hash_pair(low, high);
     if (lockfree_) {
       lf_reinsert(worker, h, r);
       return;
     }
-    Segment& segment = segment_for(h);
-    if (sharded()) lock_timed(segment, worker);
-    const std::size_t bucket = (h >> shard_shift_) & segment.mask;
-    node(r).next.store(segment.buckets[bucket], std::memory_order_relaxed);
-    segment.buckets[bucket] = r;
-    ++segment.count;
-    if (sharded()) segment.mutex.unlock();
+    const std::size_t bucket = h & mask_;
+    node(r).next.store(buckets_[bucket], std::memory_order_relaxed);
+    buckets_[bucket] = r;
+    ++count_;
   }
 
   // ---- Snapshot support -----------------------------------------------------
@@ -211,70 +172,34 @@ class VarUniqueTable {
   // writer serializes the bucket structure so a shape-compatible restore
   // can adopt the stored chains without hashing a single node.
 
-  /// Bucket-array sizes per segment (a single entry for kPassLock and
-  /// kLockFree, whose one array plays the role of segment 0).
-  [[nodiscard]] std::vector<std::size_t> segment_bucket_counts() const {
-    if (lockfree_) {
-      return {lf_owner_ ? lf_owner_->mask + 1 : std::size_t{0}};
-    }
-    std::vector<std::size_t> out;
-    out.reserve(segments_.size());
-    for (const Segment& s : segments_) out.push_back(s.buckets.size());
-    return out;
-  }
-
-  /// Chained-node counts per segment (kLockFree reports its global count).
-  [[nodiscard]] std::vector<std::size_t> segment_node_counts() const {
-    if (lockfree_) return {lf_count_.load(std::memory_order_relaxed)};
-    std::vector<std::size_t> out;
-    out.reserve(segments_.size());
-    for (const Segment& s : segments_) out.push_back(s.count);
-    return out;
-  }
-
-  /// All bucket heads in segment-major order (kZero = empty). The lock-free
+  /// All bucket heads in bucket order (kZero = empty). The lock-free
   /// kMovedHead sentinel only ever lives in retired arrays, so it cannot
   /// appear here.
   [[nodiscard]] std::vector<NodeRef> bucket_heads() const {
+    if (!lockfree_) return buckets_;
+    const std::size_t n = buckets();
     std::vector<NodeRef> out;
-    if (lockfree_) {
-      const std::size_t n = lf_owner_ ? lf_owner_->mask + 1 : 0;
-      out.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        out.push_back(lf_owner_->slots[i].load(std::memory_order_relaxed));
-      }
-      return out;
-    }
-    for (const Segment& s : segments_) {
-      out.insert(out.end(), s.buckets.begin(), s.buckets.end());
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(lf_owner_->slots[i].load(std::memory_order_relaxed));
     }
     return out;
   }
 
   /// Adopt pre-linked chains from a snapshot: the caller has already stored
-  /// every node's `next` field and translated `heads` (segment-major, same
-  /// layout as bucket_heads()) into live references. Valid only when the
-  /// stored shape hashes identically to this table — same discipline and
-  /// same segment count — since bucket selection depends on both. Returns
-  /// false with the table untouched when the shapes are incompatible; the
-  /// caller then falls back to reinsert().
-  bool adopt_chains(TableDiscipline saved,
-                    const std::vector<std::size_t>& seg_buckets,
-                    const std::vector<std::size_t>& seg_counts,
+  /// every node's `next` field and translated `heads` (one entry per
+  /// bucket, the layout of bucket_heads()) into live references; `count` is
+  /// the number of chained nodes. Valid only when the stored table hashed
+  /// the same way as this one — same discipline and a power-of-two bucket
+  /// count. Returns false with the table untouched otherwise; the caller
+  /// then falls back to reinsert().
+  bool adopt_chains(TableDiscipline saved, std::size_t count,
                     const std::vector<NodeRef>& heads) {
-    if (saved != discipline()) return false;
-    std::size_t total_buckets = 0;
-    for (std::size_t sz : seg_buckets) {
-      if (sz < 16 || (sz & (sz - 1)) != 0) return false;
-      total_buckets += sz;
-    }
-    if (heads.size() != total_buckets ||
-        seg_counts.size() != seg_buckets.size()) {
+    const std::size_t size = heads.size();
+    if (saved != discipline() || size < 16 || (size & (size - 1)) != 0) {
       return false;
     }
     if (lockfree_) {
-      if (seg_buckets.size() != 1) return false;
-      const std::size_t size = seg_buckets[0];
       lf_retired_.clear();
       lf_owner_ = std::make_unique<LfBuckets>(size);
       for (std::size_t i = 0; i < size; ++i) {
@@ -283,54 +208,37 @@ class VarUniqueTable {
       lf_buckets_.store(lf_owner_.get(), std::memory_order_release);
       lf_max_count_ = std::max(
           lf_max_count_, lf_count_.load(std::memory_order_relaxed));
-      lf_count_.store(seg_counts[0], std::memory_order_relaxed);
+      lf_count_.store(count, std::memory_order_relaxed);
       return true;
     }
-    if (seg_buckets.size() != segments_.size()) return false;
-    std::size_t off = 0;
-    for (std::size_t si = 0; si < segments_.size(); ++si) {
-      Segment& s = segments_[si];
-      s.buckets.assign(heads.begin() + static_cast<std::ptrdiff_t>(off),
-                       heads.begin() +
-                           static_cast<std::ptrdiff_t>(off + seg_buckets[si]));
-      s.mask = seg_buckets[si] - 1;
-      s.count = seg_counts[si];
-      s.max_count = std::max(s.max_count, s.count);
-      off += seg_buckets[si];
-    }
+    buckets_ = heads;
+    mask_ = size - 1;
+    count_ = count;
+    max_count_ = std::max(max_count_, count_);
     return true;
   }
 
   // ---- Introspection ---------------------------------------------------------
 
   [[nodiscard]] std::size_t count() const noexcept {
-    if (lockfree_) return lf_count_.load(std::memory_order_relaxed);
-    std::size_t total = 0;
-    for (const Segment& segment : segments_) total += segment.count;
-    return total;
+    return lockfree_ ? lf_count_.load(std::memory_order_relaxed) : count_;
   }
-  /// High-water mark of count() (Fig. 15). Exact in the single-lock modes:
+  /// High-water mark of count() (Fig. 15). Exact in both disciplines:
   /// kPassLock tracks it per insert under the lock, and kLockFree exploits
   /// monotonicity — the count only ever grows between collections (losing
   /// racers never increment), so sampling it at each reset_chains() plus
   /// the current count is the true maximum, with no extra atomic on the
-  /// insert path. With mutex sharding this is the sum of per-segment
-  /// high-water marks (a slight overestimate when segments peak at
-  /// different times).
+  /// insert path.
   [[nodiscard]] std::size_t max_count() const noexcept {
     if (lockfree_) {
       return std::max(lf_max_count_,
                       lf_count_.load(std::memory_order_relaxed));
     }
-    std::size_t total = 0;
-    for (const Segment& segment : segments_) total += segment.max_count;
-    return total;
+    return max_count_;
   }
   [[nodiscard]] std::size_t buckets() const noexcept {
     if (lockfree_) return lf_owner_ ? lf_owner_->mask + 1 : 0;
-    std::size_t total = 0;
-    for (const Segment& segment : segments_) total += segment.buckets.size();
-    return total;
+    return buckets_.size();
   }
   [[nodiscard]] std::size_t bytes() const noexcept {
     std::size_t total =
@@ -343,10 +251,7 @@ class VarUniqueTable {
       }
       return total;
     }
-    for (const Segment& segment : segments_) {
-      total += segment.buckets.capacity() * sizeof(NodeRef);
-    }
-    return total;
+    return total + buckets_.capacity() * sizeof(NodeRef);
   }
   [[nodiscard]] std::uint64_t lock_wait_ns(unsigned worker) const noexcept {
     return wait_ns_[worker].value;
@@ -372,14 +277,6 @@ class VarUniqueTable {
   }
 
  private:
-  struct Segment {
-    std::mutex mutex;
-    std::vector<NodeRef> buckets;
-    std::size_t mask = 0;
-    std::size_t count = 0;
-    std::size_t max_count = 0;
-  };
-
   /// One lock-free bucket array generation. Heads hold kZero (empty), a
   /// node reference, or kMovedHead (bucket emptied by a grow; permanent).
   struct LfBuckets {
@@ -397,28 +294,23 @@ class VarUniqueTable {
   /// equal a published node reference or kZero.
   static constexpr NodeRef kMovedHead = kInvalid;
 
-  [[nodiscard]] Segment& segment_for(std::uint64_t hash) noexcept {
-    // Low bits select the segment; the remaining bits index its buckets.
-    return segments_[hash & (segments_.size() - 1)];
+  /// Bucket count for a rehash of `live_hint` nodes: at least one bucket
+  /// per node, shrinking an oversized array down to 4x headroom (never
+  /// below 256 buckets).
+  [[nodiscard]] static std::size_t rehash_size(std::size_t size,
+                                               std::size_t live_hint) {
+    const std::size_t hint = std::max<std::size_t>(live_hint, 1);
+    while (size > 256 && size > hint * 4) size /= 2;
+    while (size < hint) size *= 2;
+    return size;
   }
 
-  void lock_timed(Segment& segment, unsigned worker) {
-    PBDD_INJECT(kTableAcquire);
-    if (segment.mutex.try_lock()) return;
-    util::WallTimer timer;
-    segment.mutex.lock();
-    const std::uint64_t waited = timer.elapsed_ns();
-    wait_ns_[worker].value += waited;
-    PBDD_TRACE_INSTANT(kLockWait, waited, var_);
-  }
-
-  NodeRef find_or_insert_in(Segment& segment, std::uint64_t h,
-                            unsigned worker, NodeRef low, NodeRef high,
-                            bool& created) {
+  NodeRef locked_find_or_insert(std::uint64_t h, unsigned worker,
+                                NodeRef low, NodeRef high, bool& created) {
     assert(low != high);
     PBDD_INJECT(kTableInsert);
-    const std::size_t bucket = (h >> shard_shift_) & segment.mask;
-    for (NodeRef r = segment.buckets[bucket]; r != kZero;) {
+    const std::size_t bucket = h & mask_;
+    for (NodeRef r = buckets_[bucket]; r != kZero;) {
       const BddNode& n = node(r);
       const NodeRef nx = n.next.load(std::memory_order_relaxed);
       // Overlap the next probe's likely cache miss with this compare.
@@ -434,39 +326,38 @@ class VarUniqueTable {
     const NodeRef r = make_node_ref(worker, var_, slot);
     n.low = low;
     n.high = high;
-    n.next.store(segment.buckets[bucket], std::memory_order_relaxed);
+    n.next.store(buckets_[bucket], std::memory_order_relaxed);
     n.aux.store(0, std::memory_order_relaxed);
-    segment.buckets[bucket] = r;
-    ++segment.count;
-    if (segment.count > segment.max_count) segment.max_count = segment.count;
-    if (segment.count > segment.buckets.size() * 2) {
-      grow(segment, segment.buckets.size() * 2);
+    buckets_[bucket] = r;
+    ++count_;
+    if (count_ > max_count_) max_count_ = count_;
+    if (count_ > buckets_.size() * 2) {
+      grow(buckets_.size() * 2);
     } else if (PBDD_INJECT_QUERY(kForceTableGrow)) {
       // Same-size rehash: exercises the full chain-rebuild path (the thing
       // concurrent readers would trip over) without compounding growth.
-      grow(segment, segment.buckets.size());
+      grow(buckets_.size());
     }
     created = true;
     return r;
   }
 
-  void grow(Segment& segment, std::size_t new_size) {
+  void grow(std::size_t new_size) {
     PBDD_INJECT(kTableGrow);
     std::vector<NodeRef> fresh(new_size, kZero);
     const std::size_t new_mask = new_size - 1;
-    for (NodeRef head : segment.buckets) {
+    for (NodeRef head : buckets_) {
       while (head != kZero) {
         BddNode& n = node(head);
         const NodeRef next = n.next.load(std::memory_order_relaxed);
-        const std::size_t bucket =
-            (util::hash_pair(n.low, n.high) >> shard_shift_) & new_mask;
+        const std::size_t bucket = util::hash_pair(n.low, n.high) & new_mask;
         n.next.store(fresh[bucket], std::memory_order_relaxed);
         fresh[bucket] = head;
         head = next;
       }
     }
-    segment.buckets = std::move(fresh);
-    segment.mask = new_mask;
+    buckets_ = std::move(fresh);
+    mask_ = new_mask;
     PBDD_TRACE_INSTANT(kTableGrow, new_size, var_);
   }
 
@@ -626,10 +517,15 @@ class VarUniqueTable {
   }
 
   unsigned var_ = 0;
-  unsigned shard_shift_ = 0;
   bool lockfree_ = false;
   std::vector<NodeArena*> arenas_;  ///< this variable's arena, per worker
-  std::vector<Segment> segments_;
+
+  // Pass-lock state: one mutex guarding one bucket array.
+  std::mutex mutex_;
+  std::vector<NodeRef> buckets_;
+  std::size_t mask_ = 0;
+  std::size_t count_ = 0;
+  std::size_t max_count_ = 0;
 
   // Lock-free state. lf_owner_/lf_retired_ are written only by the epoch
   // claim holder and at stop-the-world points; readers go through the

@@ -406,10 +406,9 @@ void Worker::reduction() {
     }
 
     // Pass 2: produce all of this variable's BDD nodes under one lock
-    // acquisition (the paper's per-variable locking discipline) — with a
-    // sharded table, each insert locks only its hash segment (the Section 6
-    // "distributed hashing" alternative), and the lock-free table needs no
-    // bracketing at all.
+    // acquisition (the paper's per-variable locking discipline); the
+    // lock-free table (the Section 6 "distributed hashing" alternative)
+    // needs no bracketing at all.
     VarUniqueTable& table = mgr_->unique(x);
     const bool pass_lock = locking && table.pass_locked();
     const std::uint64_t hold_t0 = pass_lock ? PBDD_TRACE_NOW() : 0;
@@ -842,8 +841,8 @@ void Worker::gc_move() {
 bool Worker::gc_try_rehash_var(unsigned var) {
   PBDD_INJECT(kGcRehash);
   VarUniqueTable& table = mgr_->unique(var);
-  // Only the pass-lock discipline can find the table busy; sharded and
-  // lock-free reinserts synchronize per insert, so the claim always works.
+  // Only the pass-lock discipline can find the table busy; lock-free
+  // reinserts synchronize per insert, so the claim always works.
   const bool pass_lock = mgr_->locking() && table.pass_locked();
   if (pass_lock && !table.try_acquire()) return false;
   NodeArena& arena = node_arenas_[var];

@@ -340,8 +340,7 @@ bool FaultCampaign::run_wave_dag(std::vector<Job>& jobs,
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const std::int32_t r = root[j];
     jobs[j].detected = r >= 0 && results[static_cast<std::size_t>(r)].valid() &&
-                       mgr_.sat_count(results[static_cast<std::size_t>(r)]) !=
-                           0.0;
+                       !results[static_cast<std::size_t>(r)].is_zero();
     jobs[j].value.clear();
   }
   return true;
@@ -382,10 +381,10 @@ bool FaultCampaign::run_wave(std::vector<Job>& jobs,
     }
   }
   // Canonicity: the difference function is nonzero iff some assignment
-  // distinguishes faulty from golden.
+  // distinguishes faulty from golden, and nonzero means "not the zero
+  // terminal" — no graph walk needed.
   for (Job& job : jobs) {
-    job.detected =
-        !job.miters.empty() && mgr_.sat_count(job.miters.front()) != 0.0;
+    job.detected = !job.miters.empty() && !job.miters.front().is_zero();
     job.miters.clear();
   }
   return true;

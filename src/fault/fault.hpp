@@ -7,8 +7,8 @@
 // shared across the whole campaign. A fault is *detectable* iff some primary
 // output differs from golden for some input assignment — decided exactly by
 // building the miter XOR(golden_out, faulty_out) per affected output,
-// OR-ing the miters, and testing sat_count != 0 (canonicity makes the test
-// a constant-time comparison against the zero terminal). A fault whose
+// OR-ing the miters, and testing the fold against the zero terminal
+// (canonicity makes that a constant-time comparison). A fault whose
 // difference function is identically zero is *equivalent* (undetectable
 // redundancy).
 //

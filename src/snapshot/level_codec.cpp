@@ -51,12 +51,6 @@ void skip_chains(ByteReader& in) {
   for (std::size_t i = 0; i < total_buckets; ++i) (void)in.u32();
 }
 
-std::size_t chains_bytes(const LevelChains& chains) {
-  std::size_t buckets = 0;
-  for (const std::size_t b : chains.seg_buckets) buckets += b;
-  return 4 + chains.seg_buckets.size() * 16 + buckets * 4;
-}
-
 // ---------------------------------------------------------------------------
 // Spill segments
 // ---------------------------------------------------------------------------
@@ -112,8 +106,8 @@ SpillStats encode_spill_level(BddManager& mgr, unsigned var,
 
   const core::VarUniqueTable& table = mgr.unique(var);
   LevelChains chains;
-  chains.seg_buckets = table.segment_bucket_counts();
-  chains.seg_counts = table.segment_node_counts();
+  chains.seg_buckets = {table.buckets()};
+  chains.seg_counts = {table.count()};
   const std::vector<NodeRef> heads = table.bucket_heads();
   chains.head_locals.reserve(heads.size());
   for (const NodeRef h : heads) {
@@ -241,7 +235,7 @@ std::uint64_t decode_spill_level(BddManager& mgr, unsigned var,
   }
 
   // Chain adoption always succeeds here — same manager, same discipline,
-  // same segment count — but keep the rehash fallback for belt and braces.
+  // one segment — but keep the rehash fallback for belt and braces.
   core::VarUniqueTable& table = mgr.unique(var);
   std::vector<NodeRef> heads;
   heads.reserve(chains.head_locals.size());
@@ -249,8 +243,9 @@ std::uint64_t decode_spill_level(BddManager& mgr, unsigned var,
     heads.push_back(h == kNilLocal ? core::kZero
                                    : local_to_ref(h, var, prefix));
   }
-  if (!table.adopt_chains(mgr.config().table_discipline, chains.seg_buckets,
-                          chains.seg_counts, heads)) {
+  if (chains.seg_counts.size() != 1 ||
+      !table.adopt_chains(mgr.config().table_discipline, chains.seg_counts[0],
+                          heads)) {
     table.reset_chains(static_cast<std::size_t>(live));
     for (unsigned w = 0; w < workers; ++w) {
       core::NodeArena& arena = mgr.worker(w).node_arena(var);

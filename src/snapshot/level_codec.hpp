@@ -31,8 +31,9 @@ inline constexpr std::size_t kFullRecordBytes = 8 + 8 + 4;
 // ---- Chain-structure codec (shared with the snapshot writer) ---------------
 
 /// Unique-table chain structure of one level, with bucket heads as
-/// level-local dense ids (kNilLocal = empty bucket). Segment-major, the
-/// same layout VarUniqueTable::bucket_heads() produces.
+/// level-local dense ids (kNilLocal = empty bucket), segment-major.
+/// Writers emit one segment, the layout of VarUniqueTable::bucket_heads();
+/// files from the retired striped table carry several.
 struct LevelChains {
   std::vector<std::size_t> seg_buckets;   ///< bucket-array size per segment
   std::vector<std::size_t> seg_counts;    ///< chained-node count per segment
@@ -45,8 +46,6 @@ void encode_chains(ByteWriter& out, const LevelChains& chains);
 /// Advance past an encoded chain structure without materializing it
 /// (import_into: chains are meaningless across managers).
 void skip_chains(ByteReader& in);
-/// Serialized size in bytes of `chains` (layout precomputation).
-[[nodiscard]] std::size_t chains_bytes(const LevelChains& chains);
 
 // ---- Spill segments (out-of-core pager) -------------------------------------
 

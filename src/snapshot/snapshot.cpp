@@ -96,13 +96,13 @@ void pread_all(int fd, void* data, std::size_t size, std::uint64_t offset) {
   return v;
 }
 
+/// Hashes the header's table_shards field too, which writers fill with 1.
 [[nodiscard]] std::uint64_t config_fingerprint(unsigned num_vars,
                                                unsigned workers,
-                                               TableDiscipline discipline,
-                                               unsigned shards) {
+                                               TableDiscipline discipline) {
   return util::hash_pair(
       util::hash_pair(num_vars, workers),
-      util::hash_pair(static_cast<std::uint64_t>(discipline), shards));
+      util::hash_pair(static_cast<std::uint64_t>(discipline), 1));
 }
 
 constexpr std::size_t kExportRecordBytes = 8 + 8;
@@ -154,6 +154,10 @@ SnapshotInfo read_header(int fd, std::uint64_t file_size) {
   if ((info.flags & ~kKnownFlags) != 0) fail("unknown format flags");
   info.num_vars = rd.u32();
   info.workers = rd.u32();
+  // Tags 0 and 2 are the live disciplines. Tag 1 (the retired striped
+  // kSharded table, with its shard count in table_shards) still reads:
+  // chain adoption needs the saving discipline, so such a file restores
+  // through the rehash fallback.
   const std::uint32_t discipline = rd.u32();
   if (discipline > static_cast<std::uint32_t>(TableDiscipline::kLockFree)) {
     fail("unknown table discipline tag");
@@ -393,16 +397,7 @@ SaveStats save(BddManager& mgr, const std::string& path,
     if (level_nodes[v] > 0) ++stats.nonempty_levels;
   }
 
-  // Bucket shapes (full mode serializes the chain structure).
   const TableDiscipline discipline = mgr.config().table_discipline;
-  std::vector<std::vector<std::size_t>> seg_buckets(num_vars);
-  std::vector<std::vector<std::size_t>> seg_counts(num_vars);
-  if (!export_mode) {
-    for (unsigned v = 0; v < num_vars; ++v) {
-      seg_buckets[v] = mgr.unique(v).segment_bucket_counts();
-      seg_counts[v] = mgr.unique(v).segment_node_counts();
-    }
-  }
 
   const std::size_t record_bytes =
       export_mode ? kExportRecordBytes : kFullRecordBytes;
@@ -411,9 +406,8 @@ SaveStats save(BddManager& mgr, const std::string& path,
   for (unsigned v = 0; v < num_vars; ++v) {
     std::size_t section = 4;  // var sanity field
     if (!export_mode) {
-      std::size_t buckets = 0;
-      for (std::size_t b : seg_buckets[v]) buckets += b;
-      section += 4 + seg_buckets[v].size() * 16 + buckets * 4;
+      // Chain structure: one segment, then its bucket heads.
+      section += 4 + 16 + mgr.unique(v).buckets() * 4;
     }
     section += std::size_t{level_nodes[v]} * record_bytes;
     dir[v].offset = cursor;
@@ -454,10 +448,11 @@ SaveStats save(BddManager& mgr, const std::string& path,
         ByteWriter out(dir[v].byte_size);
         out.u32(v);
         if (!export_mode) {
+          const core::VarUniqueTable& table = mgr.unique(v);
           LevelChains chains;
-          chains.seg_buckets = seg_buckets[v];
-          chains.seg_counts = seg_counts[v];
-          const std::vector<NodeRef> heads = mgr.unique(v).bucket_heads();
+          chains.seg_buckets = {table.buckets()};
+          chains.seg_counts = {table.count()};
+          const std::vector<NodeRef> heads = table.bucket_heads();
           chains.head_locals.reserve(heads.size());
           for (const NodeRef head : heads) {
             chains.head_locals.push_back(
@@ -542,12 +537,11 @@ SaveStats save(BddManager& mgr, const std::string& path,
   hout.u32(num_vars);
   hout.u32(workers);
   hout.u32(static_cast<std::uint32_t>(discipline));
-  hout.u32(mgr.config().table_shards);
+  hout.u32(1);  // table_shards: informational, always 1
   hout.u64(stats.nodes);
   hout.u64(root_table_offset);
   hout.u64(rout.size());
-  hout.u64(config_fingerprint(num_vars, workers, discipline,
-                              mgr.config().table_shards));
+  hout.u64(config_fingerprint(num_vars, workers, discipline));
   hout.u32(util::crc32(hout.data().data(), hout.size()));
   pwrite_all(fd.fd, hout.data().data(), hout.size(), 0);
 
@@ -688,8 +682,9 @@ RestoreResult restore(const std::string& path, core::Config config) {
                                            : local_to_ref(v, h));
           }
           level_adopted =
-              table.adopt_chains(meta.info.discipline, chains.seg_buckets,
-                                 chains.seg_counts, heads);
+              chains.seg_counts.size() == 1 &&
+              table.adopt_chains(meta.info.discipline, chains.seg_counts[0],
+                                 heads);
         }
         if (!level_adopted && live > 0) {
           table.reset_chains(live);

@@ -11,8 +11,8 @@
 // Two save modes:
 //  * kFullStore — every allocated slot, plus the unique-table bucket
 //    structure and chain links. A shape-compatible restore (same worker
-//    count, discipline, and segment count) adopts the stored chains without
-//    hashing a single node; anything else falls back to rehashing.
+//    count and discipline) adopts the stored chains without hashing a
+//    single node; anything else falls back to rehashing.
 //  * kExportRoots — only nodes reachable from the given roots, renumbered
 //    dense per level (the GC mark phase run standalone), so snapshots
 //    exclude dead nodes. Restore always rehashes.
@@ -94,7 +94,7 @@ struct RestoreResult {
 };
 
 /// Build a fresh manager from a snapshot. `config` may differ from the
-/// saved configuration (worker count, table discipline, shard count); the
+/// saved configuration (worker count, table discipline); the
 /// chain-adoption fast path then degrades to the rehash fallback, and the
 /// restored store is re-canonicalized under the new configuration.
 RestoreResult restore(const std::string& path, core::Config config = {});
@@ -115,8 +115,10 @@ struct SnapshotInfo {
   std::uint32_t flags = 0;
   unsigned num_vars = 0;
   unsigned workers = 0;
+  /// Tag 1 marks a file written by the retired striped table; it restores
+  /// through the rehash fallback.
   core::TableDiscipline discipline = core::TableDiscipline::kPassLock;
-  unsigned table_shards = 1;
+  unsigned table_shards = 1;  ///< informational; 1 unless tag 1
   std::uint64_t total_nodes = 0;
   std::uint32_t root_count = 0;
   std::uint64_t file_bytes = 0;

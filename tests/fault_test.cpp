@@ -32,8 +32,7 @@ std::vector<EngineConfig> engine_matrix() {
   std::vector<EngineConfig> m;
   for (const unsigned w : {1u, 2u, 4u}) {
     for (const core::TableDiscipline d :
-         {core::TableDiscipline::kPassLock, core::TableDiscipline::kSharded,
-          core::TableDiscipline::kLockFree}) {
+         {core::TableDiscipline::kPassLock, core::TableDiscipline::kLockFree}) {
       m.push_back({w, d});
     }
   }

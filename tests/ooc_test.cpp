@@ -27,6 +27,7 @@
 #include "service_driver.hpp"
 #include "snapshot/level_codec.hpp"
 #include "store_invariants.hpp"
+#include "test_printers.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
 
@@ -142,12 +143,11 @@ Config engine_config(TableDiscipline discipline, unsigned workers = 2) {
   Config config;
   config.workers = workers;
   config.table_discipline = discipline;
-  config.table_shards = discipline == TableDiscipline::kSharded ? 4 : 1;
   return config;
 }
 
 // ---------------------------------------------------------------------------
-// Round-trip identity across all three table disciplines
+// Round-trip identity across both table disciplines
 // ---------------------------------------------------------------------------
 
 class OocRoundTrip : public ::testing::TestWithParam<TableDiscipline> {};
@@ -209,18 +209,10 @@ TEST_P(OocRoundTrip, SpillEverythingThenValidateExhaustively) {
 
 INSTANTIATE_TEST_SUITE_P(Disciplines, OocRoundTrip,
                          ::testing::Values(TableDiscipline::kPassLock,
-                                           TableDiscipline::kSharded,
                                            TableDiscipline::kLockFree),
                          [](const ::testing::TestParamInfo<TableDiscipline>&
                                 info) {
-                           switch (info.param) {
-                             case TableDiscipline::kPassLock:
-                               return "passlock";
-                             case TableDiscipline::kSharded:
-                               return "sharded";
-                             default:
-                               return "lockfree";
-                           }
+                           return core::discipline_name(info.param);
                          });
 
 // ---------------------------------------------------------------------------

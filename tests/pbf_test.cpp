@@ -76,6 +76,10 @@ struct ModeParam {
   Config config;
 };
 
+/// Print a row as its name: ctest puts the printed parameter into every
+/// discovered test name, and the raw bytes would include pointers.
+void PrintTo(const ModeParam& p, std::ostream* os) { *os << p.name; }
+
 class PbfModes : public ::testing::TestWithParam<ModeParam> {};
 
 TEST_P(PbfModes, RandomProgramsMatchTruthTables) {
@@ -138,14 +142,14 @@ INSTANTIATE_TEST_SUITE_P(
         ModeParam{"hybrid_df_parallel",
                   make_config(2, false, 16, 8,
                               core::OverflowPolicy::kDepthFirst)},
-        ModeParam{"sharded_tables", [] {
+        ModeParam{"lockfree_tables", [] {
                     Config c = make_config(4, false, 32, 4);
-                    c.table_shards = 8;
+                    c.table_discipline = core::TableDiscipline::kLockFree;
                     return c;
                   }()},
-        ModeParam{"sharded_one_worker", [] {
+        ModeParam{"lockfree_one_worker", [] {
                     Config c = make_config(1, false, 1u << 15, 512);
-                    c.table_shards = 4;
+                    c.table_discipline = core::TableDiscipline::kLockFree;
                     return c;
                   }()}),
     [](const ::testing::TestParamInfo<ModeParam>& info) {

@@ -48,11 +48,10 @@ std::string tmp_dir(const std::string& tag) {
   return d;
 }
 
-core::Config cfg(unsigned workers, TableDiscipline d, unsigned shards = 1) {
+core::Config cfg(unsigned workers, TableDiscipline d) {
   core::Config c;
   c.workers = workers;
   c.table_discipline = d;
-  c.table_shards = shards;
   return c;
 }
 
@@ -389,7 +388,7 @@ TEST(ReplEndToEnd, ShipServeDeltaAndNakRecovery) {
   repl::ReplicaOptions ro;
   ro.port = 0;
   ro.dir = replica_dir;
-  ro.config = cfg(1, TableDiscipline::kSharded, 2);
+  ro.config = cfg(1, TableDiscipline::kPassLock);
   repl::ReplicaServer replica(ro);
   replica.start();
   const std::string endpoint =
@@ -700,7 +699,7 @@ TEST(ReplClock, HandshakeRecordsPeerOffset) {
   repl::ReplicaOptions ro;
   ro.port = 0;
   ro.dir = dir;
-  ro.config = cfg(1, TableDiscipline::kSharded);
+  ro.config = cfg(1, TableDiscipline::kPassLock);
   repl::ReplicaServer server(ro);
   server.start();
 

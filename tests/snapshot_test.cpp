@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -21,6 +22,9 @@
 #include "service/bdd_service.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/snapshot.hpp"
+#include "store_invariants.hpp"
+#include "test_printers.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -67,12 +71,10 @@ void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-core::Config cfg(unsigned workers, TableDiscipline d,
-                 unsigned shards = 1) {
+core::Config cfg(unsigned workers, TableDiscipline d) {
   core::Config c;
   c.workers = workers;
   c.table_discipline = d;
-  c.table_shards = shards;
   return c;
 }
 
@@ -81,11 +83,11 @@ class SnapshotRoundTrip
 
 // Round-trip identity: every root's dump_function is byte-identical after
 // save + restore under the same configuration, in both save modes and under
-// all three table disciplines. Full-mode same-config restores must also
+// both table disciplines. Full-mode same-config restores must also
 // take the chain-adoption fast path on every level.
 TEST_P(SnapshotRoundTrip, IdentityUnderSameConfig) {
   const auto [disc, export_mode] = GetParam();
-  const core::Config config = cfg(4, disc, disc == TableDiscipline::kSharded ? 4 : 1);
+  const core::Config config = cfg(4, disc);
   core::BddManager mgr(10, config);
   const std::vector<snapshot::NamedRoot> roots = build_roots(mgr);
   const std::vector<std::string> before = dumps_of(mgr, roots);
@@ -120,7 +122,6 @@ TEST_P(SnapshotRoundTrip, IdentityUnderSameConfig) {
 INSTANTIATE_TEST_SUITE_P(
     AllDisciplines, SnapshotRoundTrip,
     testing::Combine(testing::Values(TableDiscipline::kPassLock,
-                                     TableDiscipline::kSharded,
                                      TableDiscipline::kLockFree),
                      testing::Bool()));
 
@@ -128,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
 // restores under a different one through the rehash fallback, preserving
 // every function.
 TEST(Snapshot, CrossConfigRestore) {
-  core::BddManager mgr(10, cfg(4, TableDiscipline::kSharded, 4));
+  core::BddManager mgr(10, cfg(4, TableDiscipline::kLockFree));
   const std::vector<snapshot::NamedRoot> roots = build_roots(mgr);
   const std::vector<std::string> before = dumps_of(mgr, roots);
   const std::string path = tmp_path("xcfg");
@@ -136,7 +137,7 @@ TEST(Snapshot, CrossConfigRestore) {
 
   for (const core::Config& target :
        {cfg(1, TableDiscipline::kPassLock), cfg(2, TableDiscipline::kLockFree),
-        cfg(3, TableDiscipline::kSharded, 8)}) {
+        cfg(3, TableDiscipline::kPassLock)}) {
     snapshot::RestoreResult res = snapshot::restore(path, target);
     EXPECT_FALSE(res.stats.ref_preserving);
     EXPECT_EQ(res.stats.levels_adopted, 0u);
@@ -151,13 +152,13 @@ TEST(Snapshot, CrossConfigRestore) {
 
 // Export-roots snapshots cross table disciplines in both directions — the
 // replication tier's exact traffic pattern: a kLockFree writer ships to a
-// kSharded replica, and a snapshot the replica re-exports restores back
+// kPassLock replica, and a snapshot the replica re-exports restores back
 // under the writer's discipline. Both restore (fresh manager) and
 // import_into (merge into a live manager) must preserve every function.
 TEST(Snapshot, ExportCrossesDisciplinesBothWays) {
   const std::pair<core::Config, core::Config> pairings[] = {
-      {cfg(4, TableDiscipline::kLockFree), cfg(2, TableDiscipline::kSharded, 4)},
-      {cfg(2, TableDiscipline::kSharded, 4), cfg(4, TableDiscipline::kLockFree)},
+      {cfg(4, TableDiscipline::kLockFree), cfg(2, TableDiscipline::kPassLock)},
+      {cfg(2, TableDiscipline::kPassLock), cfg(4, TableDiscipline::kLockFree)},
       {cfg(1, TableDiscipline::kPassLock), cfg(3, TableDiscipline::kLockFree)},
   };
   snapshot::SaveOptions opts;
@@ -298,7 +299,7 @@ TEST(Snapshot, ExportExcludesDeadNodes) {
 // functions the manager already holds creates no lasting growth and yields
 // handles equal to the existing ones.
 TEST(Snapshot, ImportDeduplicates) {
-  core::BddManager mgr(10, cfg(2, TableDiscipline::kSharded, 2));
+  core::BddManager mgr(10, cfg(2, TableDiscipline::kPassLock));
   const std::vector<snapshot::NamedRoot> roots = build_roots(mgr);
   const std::string path = tmp_path("dedupe");
   snapshot::SaveOptions opts;
@@ -345,7 +346,7 @@ TEST(Snapshot, ImportIntoForeignManager) {
 }
 
 TEST(Snapshot, InspectReportsHeader) {
-  core::BddManager mgr(10, cfg(4, TableDiscipline::kSharded, 4));
+  core::BddManager mgr(10, cfg(4, TableDiscipline::kLockFree));
   const std::vector<snapshot::NamedRoot> roots = build_roots(mgr);
   const std::string path = tmp_path("inspect");
   snapshot::save(mgr, path, roots);
@@ -353,10 +354,67 @@ TEST(Snapshot, InspectReportsHeader) {
   EXPECT_EQ(info.version, snapshot::kFormatVersion);
   EXPECT_EQ(info.num_vars, 10u);
   EXPECT_EQ(info.workers, 4u);
-  EXPECT_EQ(info.discipline, TableDiscipline::kSharded);
+  EXPECT_EQ(info.discipline, TableDiscipline::kLockFree);
+  EXPECT_EQ(info.table_shards, 1u);
   EXPECT_EQ(info.root_count, roots.size());
   EXPECT_TRUE(info.has_chains());
   EXPECT_FALSE(info.export_mode());
+  std::remove(path.c_str());
+}
+
+// Backward compatibility with discipline tag 1. goldens/sharded_v1.snap is
+// a full-store snapshot of build_roots(mgr, 4) in an 8-variable manager,
+// written with 4 workers by the retired mutex-striped table (tag 1,
+// table_shards 4, four bucket segments per level). It must still restore
+// with every function intact — through the rehash fallback, because chain
+// adoption needs the saving discipline — while a tag past the known range
+// stays rejected.
+TEST(Snapshot, LegacyShardedSnapshotRestoresThroughRehash) {
+  const std::string fixture =
+      std::string(PBDD_TEST_GOLDENS_DIR) + "/sharded_v1.snap";
+  const snapshot::SnapshotInfo info = snapshot::inspect(fixture);
+  EXPECT_EQ(static_cast<unsigned>(info.discipline), 1u);
+  EXPECT_EQ(info.table_shards, 4u);
+  EXPECT_EQ(info.workers, 4u);
+  EXPECT_TRUE(info.has_chains());
+
+  core::BddManager fresh(8, cfg(1, TableDiscipline::kPassLock));
+  const std::vector<snapshot::NamedRoot> reference = build_roots(fresh, 4);
+  const std::vector<std::string> want = dumps_of(fresh, reference);
+  for (const TableDiscipline d :
+       {TableDiscipline::kPassLock, TableDiscipline::kLockFree}) {
+    SCOPED_TRACE(core::discipline_name(d));
+    // Same worker count: references are preserved, so only the discipline
+    // mismatch keeps the stored chains from being adopted.
+    snapshot::RestoreResult res = snapshot::restore(fixture, cfg(4, d));
+    EXPECT_TRUE(res.stats.ref_preserving);
+    EXPECT_EQ(res.stats.levels_adopted, 0u);
+    ASSERT_EQ(res.roots.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(res.roots[i].name, reference[i].name);
+      EXPECT_EQ(core::dump_function(*res.manager, res.roots[i].bdd), want[i])
+          << "root " << reference[i].name;
+    }
+    EXPECT_EQ(test::check_store_invariants(*res.manager), "");
+  }
+
+  // Tag 3 under a recomputed header CRC is still an unknown discipline.
+  std::vector<std::uint8_t> bytes = slurp(fixture);
+  ASSERT_GT(bytes.size(), snapshot::kHeaderBytes);
+  bytes[24] = 3;  // discipline field (docs/FORMAT.md, header offset 24)
+  const std::uint32_t crc =
+      util::crc32(bytes.data(), snapshot::kHeaderBytes - 4);
+  std::memcpy(bytes.data() + snapshot::kHeaderBytes - 4, &crc, 4);
+  const std::string path = tmp_path("tag3");
+  spit(path, bytes);
+  try {
+    snapshot::restore(path, {});
+    ADD_FAILURE() << "tag 3 restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown table discipline tag"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

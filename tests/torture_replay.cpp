@@ -93,20 +93,14 @@ bool apply_key(ReplaySpec& spec, const std::string& key,
   else if (key == "share_poll_interval") {
     spec.config.share_poll_interval = u32();
   }
-  else if (key == "table_shards") spec.config.table_shards = u32();
   else if (key == "table_discipline") {
     // Seed files are regression captures: the discipline they were captured
     // with is part of the bug, so it is pinned here and deliberately NOT
-    // overridable via PBDD_TABLE_DISCIPLINE.
-    if (value == "passlock") {
-      spec.config.table_discipline = pbdd::core::TableDiscipline::kPassLock;
-    } else if (value == "sharded") {
-      spec.config.table_discipline = pbdd::core::TableDiscipline::kSharded;
-    } else if (value == "lockfree") {
-      spec.config.table_discipline = pbdd::core::TableDiscipline::kLockFree;
-    } else {
-      error = "table_discipline must be 'passlock', 'sharded' or "
-              "'lockfree', got '" + value + "'";
+    // overridable via PBDD_TABLE_DISCIPLINE. The retired "sharded" (and its
+    // table_shards key) is an error, never silently remapped.
+    if (!pbdd::core::parse_discipline(value, spec.config.table_discipline)) {
+      error = "table_discipline must be 'passlock' or 'lockfree', got '" +
+              value + "'";
       return false;
     }
   }

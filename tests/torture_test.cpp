@@ -18,6 +18,7 @@
 #include "core/bdd_manager.hpp"
 #include "runtime/torture.hpp"
 #include "service_driver.hpp"
+#include "test_printers.hpp"
 #include "torture_driver.hpp"
 
 namespace pbdd {
@@ -144,24 +145,20 @@ TEST(TortureSchedulerUnit, SerializeHandoffIsDeterministic) {
 // exhaustively validated (torture_driver.hpp)
 // ---------------------------------------------------------------------------
 
-/// Table discipline for a sweep entry: rotates through all three by seed so
-/// every CI leg tortures every discipline, unless PBDD_TABLE_DISCIPLINE
-/// ("passlock" | "sharded" | "lockfree") pins the whole sweep — the TSan
-/// matrix uses that to give the lock-free protocol a dedicated leg.
+/// Table discipline for a sweep entry: alternates by seed (odd seeds
+/// passlock, even seeds lockfree) so every CI leg tortures both, unless
+/// PBDD_TABLE_DISCIPLINE ("passlock" | "lockfree") pins the whole sweep —
+/// the TSan matrix uses that to give the lock-free protocol a dedicated
+/// leg. Any other value, the retired "sharded" included, fails the test.
 TableDiscipline sweep_discipline(std::uint64_t seed) {
   const char* env = std::getenv("PBDD_TABLE_DISCIPLINE");
+  TableDiscipline pinned = TableDiscipline::kPassLock;
   if (env != nullptr && *env != '\0') {
-    const std::string s = env;
-    if (s == "passlock") return TableDiscipline::kPassLock;
-    if (s == "sharded") return TableDiscipline::kSharded;
-    if (s == "lockfree") return TableDiscipline::kLockFree;
-    ADD_FAILURE() << "unknown PBDD_TABLE_DISCIPLINE: " << s;
+    if (core::parse_discipline(env, pinned)) return pinned;
+    ADD_FAILURE() << "unknown PBDD_TABLE_DISCIPLINE: " << env;
   }
-  switch (seed % 3) {
-    case 0: return TableDiscipline::kPassLock;
-    case 1: return TableDiscipline::kSharded;
-    default: return TableDiscipline::kLockFree;
-  }
+  return seed % 2 == 0 ? TableDiscipline::kLockFree
+                       : TableDiscipline::kPassLock;
 }
 
 class TortureSweep
@@ -187,9 +184,7 @@ TEST_P(TortureSweep, WorkloadMatchesTruthTables) {
   config.eval_threshold = threshold;
   config.group_size = 2;
   config.share_poll_interval = 4;
-  const TableDiscipline discipline = sweep_discipline(seed);
-  config.table_discipline = discipline;
-  config.table_shards = discipline == TableDiscipline::kSharded ? 4 : 1;
+  config.table_discipline = sweep_discipline(seed);
 
   const auto result =
       run_torture_workload(config, 4, 40, seed * 977 + workers);
@@ -206,7 +201,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 4u),
                        ::testing::Values(1u, 12u),
                        // Three seeds so the seed-rotated table discipline
-                       // (sweep_discipline) covers all three per sweep.
+                       // (sweep_discipline) covers both per sweep.
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3}),
                        ::testing::Values(TortureMode::kPerturb,
@@ -249,9 +244,7 @@ TEST_P(SnapshotTortureSweep, CheckpointRestoreCycleSurvivesForcedGc) {
   config.eval_threshold = 4;
   config.group_size = 2;
   config.share_poll_interval = 4;
-  const TableDiscipline discipline = sweep_discipline(seed);
-  config.table_discipline = discipline;
-  config.table_shards = discipline == TableDiscipline::kSharded ? 4 : 1;
+  config.table_discipline = sweep_discipline(seed);
 
   const auto result =
       run_torture_workload(config, 4, 40, seed * 977 + workers,
@@ -312,9 +305,7 @@ TEST_P(OocTortureSweep, PagingSurvivesGcAndCheckpointRaces) {
   config.eval_threshold = 4;
   config.group_size = 2;
   config.share_poll_interval = 4;
-  const TableDiscipline discipline = sweep_discipline(seed);
-  config.table_discipline = discipline;
-  config.table_shards = discipline == TableDiscipline::kSharded ? 4 : 1;
+  config.table_discipline = sweep_discipline(seed);
 
   const auto result =
       run_torture_workload(config, 4, 40, seed * 977 + workers,
@@ -380,8 +371,6 @@ TEST_P(ServiceTortureSweep, MultiSessionWorkloadSurvivesPerturbation) {
   cfg.engine.group_size = 2;
   cfg.engine.share_poll_interval = 4;
   cfg.engine.table_discipline = sweep_discipline(seed);
-  cfg.engine.table_shards =
-      cfg.engine.table_discipline == TableDiscipline::kSharded ? 4 : 1;
   cfg.queue_capacity = 8;
   cfg.live_node_budget = 4096;
   service::BddService svc(cfg);
@@ -415,7 +404,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Fault-campaign sweep: a full stuck-at campaign (src/fault/) whose wave
 // boundaries force collections and checkpoint writes against the shared
 // golden BDDs (torture_driver.hpp's run_fault_torture), across worker
-// counts and all three disciplines, under both schedule modes. Every
+// counts and both disciplines, under both schedule modes. Every
 // verdict is cross-checked against the exhaustive simulation oracle, so a
 // GC that frees a live golden or a wave that reads a stale cone value is a
 // test failure, not a silent wrong verdict.
@@ -443,9 +432,7 @@ TEST_P(FaultTortureSweep, CampaignSurvivesGcAndCheckpointRaces) {
   config.eval_threshold = 4;
   config.group_size = 2;
   config.share_poll_interval = 4;
-  const TableDiscipline discipline = sweep_discipline(seed);
-  config.table_discipline = discipline;
-  config.table_shards = discipline == TableDiscipline::kSharded ? 4 : 1;
+  config.table_discipline = sweep_discipline(seed);
 
   const auto result = test::run_fault_torture(
       config, seed * 131 + workers, /*batch_faults=*/6,

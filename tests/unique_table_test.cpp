@@ -127,85 +127,40 @@ TEST_F(UniqueTableTest, TryAcquire) {
   table_.release();
 }
 
-TEST(UniqueTableSharded, CanonicalAcrossSegmentsAndWorkers) {
-  NodeArena arenas[2];
-  VarUniqueTable table;
-  table.init(3, {&arenas[0], &arenas[1]}, 64, /*shards=*/8);
-  EXPECT_TRUE(table.sharded());
-  EXPECT_EQ(table.shards(), 8u);
-  bool created = false;
-  std::vector<NodeRef> refs;
-  // Sharded mode: find_or_insert locks internally, no acquire() needed.
-  for (unsigned i = 0; i < 3000; ++i) {
-    refs.push_back(table.find_or_insert(
-        i % 2, make_node_ref(0, 4, i), make_node_ref(0, 5, i), created));
-    EXPECT_TRUE(created);
-  }
-  EXPECT_EQ(table.count(), 3000u);
-  for (unsigned i = 0; i < 3000; ++i) {
-    const NodeRef r = table.find_or_insert(
-        (i + 1) % 2, make_node_ref(0, 4, i), make_node_ref(0, 5, i),
-        created);
-    EXPECT_FALSE(created) << i;
-    EXPECT_EQ(r, refs[i]);
-  }
-}
-
-TEST(UniqueTableSharded, ConcurrentInsertersStayCanonical) {
-  // Two threads hammer the same key set through a sharded table; every
-  // key must end up with exactly one node.
-  NodeArena arenas[2];
-  VarUniqueTable table;
-  table.init(1, {&arenas[0], &arenas[1]}, 64, /*shards=*/16);
-  constexpr unsigned kKeys = 20000;
-  std::vector<NodeRef> results[2];
-  std::thread threads[2];
-  for (unsigned t = 0; t < 2; ++t) {
-    threads[t] = std::thread([&, t] {
-      results[t].resize(kKeys);
-      bool created = false;
-      for (unsigned i = 0; i < kKeys; ++i) {
-        results[t][i] = table.find_or_insert(
-            t, make_node_ref(0, 2, i), make_node_ref(0, 3, i), created);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(table.count(), kKeys);
-  for (unsigned i = 0; i < kKeys; ++i) {
-    EXPECT_EQ(results[0][i], results[1][i]) << "key " << i;
-  }
-}
-
-TEST(UniqueTableSharded, ConcurrentInsertDuringRehash) {
-  // All workers hammer one variable's table across forced growth: the
-  // initial bucket arrays are as small as init() allows, so every segment
-  // rehashes several times while the other threads are mid-insert on the
-  // same key universe. Every key must still resolve to exactly one node.
+TEST(UniqueTablePassLock, ConcurrentPassesStayCanonicalAcrossGrowth) {
+  // Four workers run reduction-style passes over one variable's table:
+  // each pass takes the variable lock once and inserts a run of keys, and
+  // the bucket array starts as small as init() allows, so it rehashes
+  // several times between passes of the other workers. Every worker walks
+  // the shared key set in a different order; every key must still resolve
+  // to exactly one node.
   constexpr unsigned kWorkers = 4;
+  constexpr unsigned kKeys = 1u << 15;
+  constexpr unsigned kPass = 64;
   NodeArena arenas[kWorkers];
   VarUniqueTable table;
-  table.init(1, {&arenas[0], &arenas[1], &arenas[2], &arenas[3]}, 16,
-             /*shards=*/4);
-  constexpr unsigned kKeys = 1u << 15;
+  table.init(1, {&arenas[0], &arenas[1], &arenas[2], &arenas[3]}, 16);
   std::vector<NodeRef> results[kWorkers];
   std::thread threads[kWorkers];
   for (unsigned t = 0; t < kWorkers; ++t) {
     threads[t] = std::thread([&, t] {
       results[t].resize(kKeys);
       bool created = false;
-      for (unsigned i = 0; i < kKeys; ++i) {
-        // Each worker walks the shared key set in a different order (odd
-        // strides permute the power-of-two universe), so chain rebuilds
-        // interleave with hits and misses from every side.
-        const unsigned key = (i * (2 * t + 1) + t * 7919) % kKeys;
-        results[t][key] = table.find_or_insert(
-            t, make_node_ref(0, 2, key), make_node_ref(0, 3, key), created);
+      for (unsigned i = 0; i < kKeys; i += kPass) {
+        table.acquire(t);
+        for (unsigned j = i; j < i + kPass; ++j) {
+          // Odd strides permute the power-of-two universe.
+          const unsigned key = (j * (2 * t + 1) + t * 7919) % kKeys;
+          results[t][key] = table.find_or_insert(
+              t, make_node_ref(0, 2, key), make_node_ref(0, 3, key), created);
+        }
+        table.release();
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(table.count(), kKeys);
+  EXPECT_EQ(table.max_count(), kKeys);
   EXPECT_GT(table.buckets(), 64u) << "growth should have been forced";
   for (unsigned i = 0; i < kKeys; ++i) {
     for (unsigned t = 1; t < kWorkers; ++t) {
@@ -219,10 +174,8 @@ TEST(UniqueTableSharded, ConcurrentInsertDuringRehash) {
 TEST(UniqueTableLockFree, BasicCanonicityAndIntrospection) {
   NodeArena arenas[2];
   VarUniqueTable table;
-  table.init(3, {&arenas[0], &arenas[1]}, 16, /*shards=*/1,
-             TableDiscipline::kLockFree);
+  table.init(3, {&arenas[0], &arenas[1]}, 16, TableDiscipline::kLockFree);
   EXPECT_TRUE(table.lockfree());
-  EXPECT_FALSE(table.sharded());
   EXPECT_FALSE(table.pass_locked());
   bool created = false;
   const NodeRef a = table.find_or_insert(0, kZero, kOne, created);
@@ -237,7 +190,7 @@ TEST(UniqueTableLockFree, BasicCanonicityAndIntrospection) {
 TEST(UniqueTableLockFree, GrowthKeepsEveryKeyReachable) {
   NodeArena arena;
   VarUniqueTable table;
-  table.init(3, {&arena}, 16, /*shards=*/1, TableDiscipline::kLockFree);
+  table.init(3, {&arena}, 16, TableDiscipline::kLockFree);
   bool created = false;
   std::vector<NodeRef> refs;
   for (unsigned i = 0; i < 2000; ++i) {
@@ -263,8 +216,7 @@ TEST(UniqueTableLockFree, ConcurrentInsertersStayCanonical) {
   // as a duplicate.
   NodeArena arenas[2];
   VarUniqueTable table;
-  table.init(1, {&arenas[0], &arenas[1]}, 64, /*shards=*/1,
-             TableDiscipline::kLockFree);
+  table.init(1, {&arenas[0], &arenas[1]}, 64, TableDiscipline::kLockFree);
   constexpr unsigned kKeys = 20000;
   std::vector<NodeRef> results[2];
   std::thread threads[2];
@@ -305,7 +257,7 @@ TEST(UniqueTableLockFree, ConcurrentInsertDuringGrow) {
   NodeArena arenas[kWorkers];
   VarUniqueTable table;
   table.init(1, {&arenas[0], &arenas[1], &arenas[2], &arenas[3]}, 16,
-             /*shards=*/1, TableDiscipline::kLockFree);
+             TableDiscipline::kLockFree);
   constexpr unsigned kKeys = 1u << 15;
   std::vector<NodeRef> results[kWorkers];
   std::thread threads[kWorkers];
@@ -336,7 +288,7 @@ TEST(UniqueTableLockFree, SpeculativeSlotIsRecycledOnHit) {
   // the next miss.
   NodeArena arena;
   VarUniqueTable table;
-  table.init(3, {&arena}, 16, /*shards=*/1, TableDiscipline::kLockFree);
+  table.init(3, {&arena}, 16, TableDiscipline::kLockFree);
   bool created = false;
   const NodeRef a =
       table.find_or_insert(0, make_node_ref(0, 4, 0), kOne, created);
@@ -361,8 +313,7 @@ TEST(UniqueTableLockFree, ResetChainsAndConcurrentReinsert) {
   constexpr unsigned kWorkers = 2;
   NodeArena arenas[kWorkers];
   VarUniqueTable table;
-  table.init(1, {&arenas[0], &arenas[1]}, 16, /*shards=*/1,
-             TableDiscipline::kLockFree);
+  table.init(1, {&arenas[0], &arenas[1]}, 16, TableDiscipline::kLockFree);
   constexpr unsigned kKeys = 4000;
   bool created = false;
   std::vector<NodeRef> refs;

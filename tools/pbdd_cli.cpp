@@ -144,15 +144,6 @@ void report(core::BddManager& mgr, const std::vector<core::Bdd>& outputs,
   }
 }
 
-const char* discipline_name(core::TableDiscipline d) {
-  switch (d) {
-    case core::TableDiscipline::kPassLock: return "pass-lock";
-    case core::TableDiscipline::kSharded: return "sharded";
-    case core::TableDiscipline::kLockFree: return "lock-free";
-  }
-  return "?";
-}
-
 int run_inspect(const std::string& path) {
   const snapshot::LevelDirectory dir = snapshot::inspect_levels(path);
   const snapshot::SnapshotInfo& info = dir.info;
@@ -160,11 +151,11 @@ int run_inspect(const std::string& path) {
               info.export_mode() ? "export-roots" : "full-store",
               info.has_chains() ? " (+chains)" : "");
   std::printf(
-      "  %u vars, %u workers, %s discipline, %u shards\n"
+      "  %u vars, %u workers, %s discipline\n"
       "  %llu nodes, %u roots, %llu file bytes "
       "(meta %llu, root table %llu @ %llu)\n",
-      info.num_vars, info.workers, discipline_name(info.discipline),
-      info.table_shards, static_cast<unsigned long long>(info.total_nodes),
+      info.num_vars, info.workers, core::discipline_name(info.discipline),
+      static_cast<unsigned long long>(info.total_nodes),
       info.root_count, static_cast<unsigned long long>(info.file_bytes),
       static_cast<unsigned long long>(dir.meta_bytes()),
       static_cast<unsigned long long>(dir.root_table_bytes),

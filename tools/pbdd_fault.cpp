@@ -5,7 +5,7 @@
 //   <circuit>            a .bench netlist path or a generator spec
 //                        (c2670s, c2670b, c3540s, c17, mult-N, add-N, lfsr-N, ...)
 //   --workers N          parallel workers (default 1)
-//   --discipline D       unique-table discipline: passlock|sharded|lockfree
+//   --discipline D       unique-table discipline: passlock|lockfree
 //   --batch N            faults rebuilt concurrently per wave (default 32)
 //   --max-nets N         deterministic sample cap on fault sites (0 = all)
 //   --threshold N        evaluation threshold (0 = pure BF)
@@ -112,13 +112,8 @@ int main(int argc, char** argv) {
       config.workers = std::strtoul(next().c_str(), nullptr, 10);
     } else if (arg == "--discipline") {
       const std::string d = next();
-      if (d == "passlock") {
-        config.table_discipline = core::TableDiscipline::kPassLock;
-      } else if (d == "sharded") {
-        config.table_discipline = core::TableDiscipline::kSharded;
-      } else if (d == "lockfree") {
-        config.table_discipline = core::TableDiscipline::kLockFree;
-      } else {
+      if (!core::parse_discipline(d, config.table_discipline)) {
+        std::fprintf(stderr, "unknown discipline '%s'\n", d.c_str());
         usage(argv[0]);
       }
     } else if (arg == "--batch") {
@@ -142,6 +137,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       print_stats = true;
     } else {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       usage(argv[0]);
     }
   }

@@ -1,8 +1,8 @@
 // pbdd_replica — standalone read-replica process (docs/REPLICATION.md).
 //
 //   pbdd_replica --port N --dir DIR [--workers N] [--discipline D]
-//                [--shards N] [--metrics-every SECS] [--http-port N]
-//                [--name NAME] [--trace FILE]
+//                [--metrics-every SECS] [--http-port N] [--name NAME]
+//                [--trace FILE]
 //
 //   --port N             listen port (0 = ephemeral; the bound port is
 //                        printed either way so scripts can scrape it)
@@ -10,8 +10,8 @@
 //                        (must exist)
 //   --workers N          restore worker count (default 2) — may differ from
 //                        the writer's; restore rehashes if shapes mismatch
-//   --discipline D       passlock | sharded | lockfree (default sharded)
-//   --shards N           table shards for the sharded discipline
+//   --discipline D       passlock | lockfree (default: core::Config's,
+//                        passlock)
 //   --metrics-every S    dump pbdd_repl_* metrics to stdout every S seconds
 //                        (0 = only at exit)
 //   --http-port N        serve /metrics, /healthz, /tracez over HTTP
@@ -47,8 +47,8 @@ void on_signal(int) { g_stop.store(true); }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --port N --dir DIR [--workers N]\n"
-               "          [--discipline passlock|sharded|lockfree] "
-               "[--shards N] [--metrics-every SECS]\n"
+               "          [--discipline passlock|lockfree] "
+               "[--metrics-every SECS]\n"
                "          [--http-port N] [--name NAME] [--trace FILE]\n",
                argv0);
   std::exit(2);
@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   using namespace pbdd;
   repl::ReplicaOptions opts;
   opts.config.workers = 2;
-  opts.config.table_discipline = core::TableDiscipline::kSharded;
   unsigned metrics_every = 0;
   bool have_port = false;
   bool have_http = false;
@@ -84,17 +83,10 @@ int main(int argc, char** argv) {
       opts.config.workers = std::strtoul(next().c_str(), nullptr, 10);
     } else if (arg == "--discipline") {
       const std::string d = next();
-      if (d == "passlock") {
-        opts.config.table_discipline = core::TableDiscipline::kPassLock;
-      } else if (d == "sharded") {
-        opts.config.table_discipline = core::TableDiscipline::kSharded;
-      } else if (d == "lockfree") {
-        opts.config.table_discipline = core::TableDiscipline::kLockFree;
-      } else {
+      if (!core::parse_discipline(d, opts.config.table_discipline)) {
+        std::fprintf(stderr, "unknown discipline '%s'\n", d.c_str());
         usage(argv[0]);
       }
-    } else if (arg == "--shards") {
-      opts.config.table_shards = std::strtoul(next().c_str(), nullptr, 10);
     } else if (arg == "--metrics-every") {
       metrics_every = std::strtoul(next().c_str(), nullptr, 10);
     } else if (arg == "--http-port") {
@@ -106,6 +98,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next();
     } else {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       usage(argv[0]);
     }
   }
