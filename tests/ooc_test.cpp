@@ -27,7 +27,6 @@
 #include "service_driver.hpp"
 #include "snapshot/level_codec.hpp"
 #include "store_invariants.hpp"
-#include "test_printers.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
 

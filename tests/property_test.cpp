@@ -67,17 +67,17 @@ struct GridParam {
   core::TableDiscipline discipline = core::TableDiscipline::kPassLock;
 };
 
-/// The row's name, e.g. "seed7_w2_t16_lockfree". Also its gtest printout:
-/// ctest puts that into every discovered test name, and the raw bytes
-/// would include struct padding.
+/// The row's test name, e.g. "seed7_w2_t16_s1_lockfree". The "_s1" is the
+/// stripe count rows used to vary; every row now runs one table per
+/// variable, and the suffix stays so the test names stay the same.
 std::string grid_name(const GridParam& p) {
   return "seed" + std::to_string(p.seed) + "_w" + std::to_string(p.workers) +
          "_t" +
          (p.threshold == Config::kUnbounded ? std::string("inf")
                                             : std::to_string(p.threshold)) +
+         "_s1" +
          (p.discipline == core::TableDiscipline::kLockFree ? "_lockfree" : "");
 }
-void PrintTo(const GridParam& p, std::ostream* os) { *os << grid_name(p); }
 
 class InvariantGrid : public ::testing::TestWithParam<GridParam> {};
 

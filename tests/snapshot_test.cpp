@@ -23,7 +23,6 @@
 #include "snapshot/format.hpp"
 #include "snapshot/snapshot.hpp"
 #include "store_invariants.hpp"
-#include "test_printers.hpp"
 #include "util/crc32.hpp"
 
 namespace {

@@ -18,7 +18,6 @@
 #include "core/bdd_manager.hpp"
 #include "runtime/torture.hpp"
 #include "service_driver.hpp"
-#include "test_printers.hpp"
 #include "torture_driver.hpp"
 
 namespace pbdd {
